@@ -28,9 +28,9 @@ struct ProgramRegionHold {
 
 } // namespace
 
-/// Everything one program run needs, built under the api mutex: the linked
-/// artifact, the materialised region map, the snapshotted options, and the
-/// region anchor.
+/// Everything one program run needs: the linked artifact (compiled outside
+/// the api mutex), the region map materialised under it, the snapshotted
+/// options, and the region anchor.
 struct Program::Prepared {
   std::shared_ptr<CompiledProgram> Prog;
   std::map<TensorVar, Region *> Regions;
@@ -44,21 +44,18 @@ Program &Program::add(Tensor &T) {
 }
 
 std::shared_ptr<CompiledProgram> Program::compile(const Machine &M) {
-  std::lock_guard<std::mutex> Lock(Tensor::apiMu());
   if (Stmts.empty())
     throwError(ErrorCode::InvalidArgument,
                "Program has no statements; call add() first");
 
-  // Member statements compile (or cache-hit) through the plan cache; the
-  // memoized per-tensor key doubles as the program key component.
+  // Member statements compile (or cache-hit) through the plan cache, each
+  // taking the api mutex only for its memo check; the memoized per-tensor
+  // key doubles as the program key component.
   std::vector<std::shared_ptr<CompiledPlan>> CPs;
-  std::vector<std::string> Keys;
+  std::vector<std::string> Keys(Stmts.size());
   CPs.reserve(Stmts.size());
-  Keys.reserve(Stmts.size());
-  for (Tensor *T : Stmts) {
-    CPs.push_back(T->compileLocked(M));
-    Keys.push_back(T->MemoKey);
-  }
+  for (size_t I = 0; I < Stmts.size(); ++I)
+    CPs.push_back(Stmts[I]->compileWithKey(M, Keys[I]));
   std::vector<const Plan *> Plans;
   Plans.reserve(CPs.size());
   for (const std::shared_ptr<CompiledPlan> &CP : CPs)
@@ -67,21 +64,10 @@ std::shared_ptr<CompiledProgram> Program::compile(const Machine &M) {
   if (!V.ok())
     throwStatus(std::move(V));
 
-  std::string PKey = PlanCache::programKeyFor(Keys);
-  if (std::shared_ptr<CompiledProgram> Cached =
-          PlanCache::global().findProgram(PKey)) {
-    // A cached program holding an explicitly poisoned member must not be
-    // served (mirror of the plan-side eviction in compileLocked).
-    bool Stale = false;
-    for (size_t I = 0; I < Cached->size(); ++I)
-      Stale |= Cached->member(I).poisoned();
-    if (!Stale)
-      return Cached;
-    PlanCache::global().invalidateProgram(PKey);
-  }
-  auto Prog = std::make_shared<CompiledProgram>(std::move(CPs));
-  PlanCache::global().putProgram(PKey, Prog);
-  return Prog;
+  // The link, like the member compiles, runs outside the api mutex.
+  return PlanCache::global().findOrBuildProgram(
+      PlanCache::programKeyFor(Keys),
+      [&] { return std::make_shared<CompiledProgram>(std::move(CPs)); });
 }
 
 StatusOr<std::shared_ptr<CompiledProgram>> Program::tryCompile(

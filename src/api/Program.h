@@ -39,7 +39,8 @@ namespace distal {
 /// outlive every compile/evaluate call (the normal stack-scoped usage).
 /// Not thread-safe to mutate concurrently; evaluate-family calls on a
 /// built program are thread-safe against each other and against the
-/// Tensor evaluate family (they share the same api-level serialization).
+/// Tensor evaluate family (they share the same api mutex, held only for the
+/// compile memo and region materialisation).
 class Program {
 public:
   /// Appends tensor \p T's defined computation as the next statement.
@@ -64,8 +65,11 @@ public:
   /// \p M: each member statement compiles through the PlanCache, then the
   /// chain links through the program-side cache keyed by the statement-
   /// fingerprint chain. The returned artifact co-owns its members, so
-  /// later cache evictions never invalidate it. Throws DistalError on
-  /// validation or lowering failure.
+  /// later cache evictions never invalidate it. Member compiles and the
+  /// link run outside the api mutex, single-flight per key (see
+  /// PlanCache::findOrBuild), so a cold program compile never blocks
+  /// evaluations of other tensors. Throws DistalError on validation or
+  /// lowering failure.
   std::shared_ptr<CompiledProgram> compile(const Machine &M);
 
   /// Non-throwing compile: failures come back as a Status.

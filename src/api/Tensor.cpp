@@ -5,6 +5,7 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -38,12 +39,15 @@ Tensor &lookup(const TensorVar &V) {
   return *It->second;
 }
 
-/// Serializes the evaluate-family front half across all tensors: the
-/// compile-memo writes (MemoKey/MemoMachine) and the Region
-/// materialisation of the statement's tensors are shared mutable state.
-/// Never held during an execution — executions run concurrently through
-/// the artifact's admission queue. Process-wide (not per-tensor) because
-/// one evaluation materialises its *operand* tensors' regions too.
+/// Guards the Tensor state the evaluate and compile families share: the
+/// compile memo (MemoKey/MemoMachine) with the lowering that fills it, and
+/// the Region materialisation of a statement's tensors. Held only for
+/// those short sections (tens of microseconds on a memo hit) — never
+/// while a CompiledPlan or CompiledProgram is built (the PlanCache's
+/// single-flight builders run outside it) and never during an execution
+/// (executions run concurrently through the artifact's admission queue).
+/// Process-wide (not per-tensor) because one evaluation materialises its
+/// *operand* tensors' regions too.
 std::mutex &apiMutex() {
   static std::mutex M;
   return M;
@@ -186,65 +190,57 @@ Plan Tensor::lower(const Machine &M) {
 }
 
 std::shared_ptr<CompiledPlan> Tensor::compile(const Machine &M) {
-  std::lock_guard<std::mutex> Lock(apiMutex());
-  return compileLocked(M);
+  std::string Key;
+  return compileWithKey(M, Key);
 }
 
-std::shared_ptr<CompiledPlan> Tensor::compileLocked(const Machine &M) {
-  // Steady state: the memoized key skips lowering and fingerprinting but
-  // still goes through the PlanCache, so explicit invalidation (or LRU
-  // eviction) always forces a true recompile below.
-  if (!MemoKey.empty() && MemoMachine == M.str())
-    if (std::shared_ptr<CompiledPlan> Cached =
-            PlanCache::global().find(MemoKey)) {
-      // A poisoned artifact (uncontained execution failure) must never be
-      // served again; evict and fall through to a true recompile.
-      if (!Cached->poisoned())
-        return Cached;
-      PlanCache::global().invalidate(MemoKey);
+std::shared_ptr<CompiledPlan> Tensor::compileWithKey(const Machine &M,
+                                                     std::string &Key) {
+  // Under the api lock: the memo check, or lowering and fingerprinting
+  // when the memo is stale. The memoized key is only a shortcut to the
+  // lookup, never to the artifact, so invalidation or LRU eviction still
+  // forces a true recompile.
+  std::optional<Plan> Lowered;
+  {
+    std::lock_guard<std::mutex> Lock(apiMutex());
+    if (MemoKey.empty() || MemoMachine != M.str()) {
+      Lowered = lower(M);
+      MemoMachine = M.str();
+      MemoKey = PlanCache::keyFor(*Lowered, LeafStrategy::Compiled);
     }
-  Plan P = lower(M);
-  std::string Key = PlanCache::keyFor(P, LeafStrategy::Compiled);
-  MemoMachine = M.str();
-  MemoKey = Key;
-  if (std::shared_ptr<CompiledPlan> Cached = PlanCache::global().find(Key)) {
-    if (!Cached->poisoned())
-      return Cached;
-    PlanCache::global().invalidate(Key);
+    Key = MemoKey;
   }
-  auto CP = std::make_shared<CompiledPlan>(std::move(P));
-  PlanCache::global().put(Key, CP);
-  return CP;
+  // The artifact builds outside the api lock, once per key however many
+  // callers miss on it together.
+  return PlanCache::global().findOrBuild(Key, [&] {
+    if (!Lowered) { // A memo hit whose entry left the cache.
+      std::lock_guard<std::mutex> Lock(apiMutex());
+      Lowered = lower(M);
+    }
+    return std::make_shared<CompiledPlan>(std::move(*Lowered));
+  });
 }
 
 std::string Tensor::planKey(const Machine &M) {
   return PlanCache::keyFor(lower(M), LeafStrategy::Compiled);
 }
 
-Trace Tensor::runCompiled(CompiledPlan &CP, const Machine &M,
-                          TraceMode Mode) {
-  const Assignment &Stmt = CP.plan().Nest.Stmt;
+std::shared_ptr<void>
+Tensor::holdRegions(const Assignment &Stmt, const Machine &M,
+                    std::map<TensorVar, Region *> &Regions) {
   const TensorVar &Out = Stmt.lhs().tensor();
   bool OutIsRead = false;
   for (const Access &A : Stmt.rhsAccesses())
     OutIsRead |= A.tensor() == Out;
-  std::map<TensorVar, Region *> Regions;
-  // Hold the regions (pinned) for the duration of this synchronous
-  // execution, so a concurrent evaluation's machine change cannot rebuild
-  // them under us; materialisation itself needs the api mutex.
-  RegionHold Hold;
-  {
-    std::lock_guard<std::mutex> Lock(apiMutex());
-    for (const TensorVar &T : Stmt.tensors()) {
-      const std::shared_ptr<Region> &R =
-          lookup(T).materialize(M, /*PreserveData=*/T != Out || OutIsRead);
-      Regions[T] = R.get();
-      Hold.add(R);
-    }
+  auto Hold = std::make_shared<RegionHold>();
+  std::lock_guard<std::mutex> Lock(apiMutex());
+  for (const TensorVar &T : Stmt.tensors()) {
+    const std::shared_ptr<Region> &R =
+        lookup(T).materialize(M, /*PreserveData=*/T != Out || OutIsRead);
+    Regions[T] = R.get();
+    Hold->add(R);
   }
-  ExecOptions Opts = ExecOpts;
-  Opts.Mode = Mode;
-  return CP.execute(Regions, Opts);
+  return Hold;
 }
 
 StatusOr<std::shared_ptr<CompiledPlan>> Tensor::tryCompile(const Machine &M) {
@@ -256,22 +252,9 @@ StatusOr<std::shared_ptr<CompiledPlan>> Tensor::tryCompile(const Machine &M) {
 }
 
 Tensor::PreparedRun Tensor::prepareRun(const Machine &M, TraceMode Mode) {
-  std::lock_guard<std::mutex> Lock(apiMutex());
   PreparedRun R;
-  R.CP = compileLocked(M);
-  const Assignment &Stmt = R.CP->plan().Nest.Stmt;
-  const TensorVar &Out = Stmt.lhs().tensor();
-  bool OutIsRead = false;
-  for (const Access &A : Stmt.rhsAccesses())
-    OutIsRead |= A.tensor() == Out;
-  auto Hold = std::make_shared<RegionHold>();
-  for (const TensorVar &T : Stmt.tensors()) {
-    const std::shared_ptr<Region> &Rg =
-        lookup(T).materialize(M, /*PreserveData=*/T != Out || OutIsRead);
-    R.Regions[T] = Rg.get();
-    Hold->add(Rg);
-  }
-  R.Hold = std::move(Hold);
+  R.CP = compile(M);
+  R.Hold = holdRegions(R.CP->plan().Nest.Stmt, M, R.Regions);
   R.Opts = ExecOpts;
   R.Opts.Mode = Mode;
   return R;
@@ -343,7 +326,13 @@ Trace Tensor::evaluateWithTrace(const Machine &M) {
 
 Trace Tensor::evaluateUncached(const Machine &M) {
   CompiledPlan CP(lower(M));
-  return runCompiled(CP, M, TraceMode::Full);
+  std::map<TensorVar, Region *> Regions;
+  // The hold pins the regions for this synchronous execution, so a
+  // concurrent evaluation's machine change cannot rebuild them under us.
+  std::shared_ptr<void> Hold = holdRegions(CP.plan().Nest.Stmt, M, Regions);
+  ExecOptions Opts = ExecOpts;
+  Opts.Mode = TraceMode::Full;
+  return CP.execute(Regions, Opts);
 }
 
 Trace Tensor::simulateOn(const Machine &M) { return compile(M)->trace(); }

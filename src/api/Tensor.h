@@ -119,7 +119,11 @@ public:
   /// computation is redefined or schedule() is accessed (mutating a held
   /// Schedule reference without going through schedule() is not tracked).
   /// PlanCache invalidation is still honoured — the memoized key is only a
-  /// shortcut to the lookup, never to the artifact.
+  /// shortcut to the lookup, never to the artifact. The artifact is built
+  /// without the api lock held, through PlanCache::findOrBuild: concurrent
+  /// compiles of one key build once and share the artifact, and evaluate
+  /// calls on other tensors never wait for the build. Thread-safe against
+  /// the evaluate family.
   std::shared_ptr<CompiledPlan> compile(const Machine &M);
 
   /// Non-throwing compile: a lowering or validation failure comes back as
@@ -233,8 +237,9 @@ private:
 
   /// Resolves \p V back to its live api::Tensor (fatal when none exists).
   static Tensor &lookupTensor(const TensorVar &V);
-  /// The process-wide mutex serializing the evaluate-family front half
-  /// (compile memo + region materialisation). Never held during execution.
+  /// The process-wide mutex guarding the compile memo (with the lowering
+  /// that fills it) and region materialisation. Held only for those short
+  /// sections: never while an artifact is built, never during execution.
   static std::mutex &apiMu();
 
   /// Ensures the backing Region exists for machine \p M and returns the
@@ -243,18 +248,27 @@ private:
   /// then rebuilds. Caller holds the api mutex.
   const std::shared_ptr<Region> &materialize(const Machine &M,
                                              bool PreserveData = true);
-  Trace runCompiled(CompiledPlan &CP, const Machine &M, TraceMode Mode);
-  /// compile() body; caller holds the api mutex (guards the memo fields).
-  std::shared_ptr<CompiledPlan> compileLocked(const Machine &M);
+  /// Materialises every tensor of \p Stmt for machine \p M under the api
+  /// mutex, fills \p Regions, and returns the RegionHold anchoring (and
+  /// pinning) them until it is released.
+  static std::shared_ptr<void>
+  holdRegions(const Assignment &Stmt, const Machine &M,
+              std::map<TensorVar, Region *> &Regions);
+  /// compile(), also returning the PlanCache key in \p Key. Takes the api
+  /// mutex for the memo check and lowering only; the caller must not hold
+  /// it (the build may wait for another caller's build).
+  std::shared_ptr<CompiledPlan> compileWithKey(const Machine &M,
+                                               std::string &Key);
 
   /// One admission-ready request: the cached artifact, the materialised
   /// region map over this tensor and its operands, the snapshotted
   /// options, and the Hold — shared ownership of (and execution pins on)
   /// every Region in the map, passed to the admission queue as the
   /// request's RunAnchor so the storage outlives the execution even if a
-  /// tensor dies or re-materialises meanwhile. Built under the api mutex
-  /// (compile-memo writes and Region materialisation are the shared
-  /// mutable state); the execution itself then runs outside it.
+  /// tensor dies or re-materialises meanwhile. Built in two short api-mutex
+  /// sections — the compile memo, then Region materialisation — with the
+  /// artifact compiled (on a miss) between them, outside the mutex; the
+  /// execution itself then runs outside it too.
   struct PreparedRun {
     std::shared_ptr<CompiledPlan> CP;
     std::map<TensorVar, Region *> Regions;

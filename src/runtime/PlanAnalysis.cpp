@@ -32,13 +32,14 @@ static int countMuls(const Expr &E) {
   unreachable("unknown expr kind");
 }
 
-/// Bounding box of the rectangles accessed by every access of \p T.
-static Rect tensorRect(const TensorVar &T, const Assignment &Stmt,
+/// Bounding box of the rectangles accessed by every access of \p T among
+/// the statement's \p Accesses.
+static Rect tensorRect(const TensorVar &T, const std::vector<Access> &Accesses,
                        const ProvenanceGraph &Prov,
                        const std::map<IndexVar, Interval> &Known) {
   Rect Result = Rect::empty(T.order());
   bool First = true;
-  for (const Access &A : Stmt.accesses()) {
+  for (const Access &A : Accesses) {
     if (A.tensor() != T)
       continue;
     Rect R = accessRect(A, Prov, Known);
@@ -57,6 +58,25 @@ static Rect tensorRect(const TensorVar &T, const Assignment &Stmt,
   DISTAL_ASSERT(!First, "tensor does not appear in the statement");
   return Result;
 }
+
+/// accessRect(A, Prov, Known).volume() without building the rectangle.
+static int64_t accessVolume(const Access &A, const ProvenanceGraph &Prov,
+                            const std::map<IndexVar, Interval> &Known) {
+  int64_t Vol = 1;
+  for (const IndexVar &V : A.indices())
+    Vol *= std::max<Coord>(Prov.recoverInterval(V, Known).width(), 0);
+  return Vol;
+}
+
+/// Orders rectangles by (lo, hi) coordinates — exact coordinates, so two
+/// distinct empty rectangles stay distinct keys.
+struct RectLess {
+  bool operator()(const Rect &A, const Rect &B) const {
+    if (A.lo() != B.lo())
+      return A.lo() < B.lo();
+    return A.hi() < B.hi();
+  }
+};
 
 std::vector<Message> distal::planGatherMessages(const Plan &P,
                                                 const TensorVar &T,
@@ -141,6 +161,7 @@ PlanAnalysisResult distal::analyzePlan(const Plan &P, const Mapper &Map) {
   const Assignment &Stmt = P.Nest.Stmt;
   const ProvenanceGraph &Prov = P.Nest.Prov;
   const TensorVar &Out = Stmt.lhs().tensor();
+  const std::vector<Access> Accesses = Stmt.accesses();
 
   Rect Launch = P.launchDomain();
   Rect Steps = P.stepDomain();
@@ -172,6 +193,16 @@ PlanAnalysisResult distal::analyzePlan(const Plan &P, const Mapper &Map) {
   std::vector<StepComm> StepC = P.stepComms();
   std::vector<IndexVar> OrigV = Stmt.defaultLoopOrder();
   double FlopsPerPoint = countMuls(Stmt.rhs()) + 1;
+  // Per step comm: how many step loops sit at or above its communicate
+  // point. Those are fixed for the fetch; deeper sequential loops are free
+  // (they rerun over the materialised data).
+  std::vector<size_t> CommDepth;
+  for (const StepComm &SC : StepC) {
+    size_t N = 0;
+    while (N < StepV.size() && P.NumDist + static_cast<int>(N) <= SC.LoopIdx)
+      ++N;
+    CommDepth.push_back(N);
+  }
 
   /// Walk-local per-task state; what the execute phase needs lands in the
   /// recorded CompiledTask.
@@ -179,6 +210,8 @@ PlanAnalysisResult distal::analyzePlan(const Plan &P, const Mapper &Map) {
     CompiledTask CT;
     std::map<IndexVar, Interval> Fixed;
     std::map<TensorVar, std::vector<Coord>> FetchKeys;
+    /// This processor's owned piece of each step comm's tensor.
+    std::vector<Rect> StepOwned;
     int64_t TaskInstBytes = 0;
     int64_t MaxStepBytes = 0;
     int64_t TotalLeafPoints = 0;
@@ -224,7 +257,7 @@ PlanAnalysisResult distal::analyzePlan(const Plan &P, const Mapper &Map) {
       TS.CT.DistVals[DistV[I]] = TP[static_cast<int>(I)];
     }
     for (const TensorVar &TV : TaskC) {
-      Rect R = tensorRect(TV, Stmt, Prov, TS.Fixed);
+      Rect R = tensorRect(TV, Accesses, Prov, TS.Fixed);
       // When the required rectangle is already resident (it lies within
       // this processor's owned piece), Legion maps the existing instance
       // instead of allocating a copy.
@@ -248,7 +281,10 @@ PlanAnalysisResult distal::analyzePlan(const Plan &P, const Mapper &Map) {
         G.Class = GatherClass::Aliasable;
       TS.CT.LaunchGathers.push_back(std::move(G));
     }
-    TS.CT.OutRect = tensorRect(Out, Stmt, Prov, TS.Fixed);
+    TS.CT.OutRect = tensorRect(Out, Accesses, Prov, TS.Fixed);
+    for (const StepComm &SC : StepC)
+      TS.StepOwned.push_back(P.formatOf(SC.Tensor).distribution().ownedRect(
+          SC.Tensor.shape(), P.M, TS.CT.ProcPt));
     TS.CT.StepGathers.resize(static_cast<size_t>(NumSteps));
     TS.CT.PrefetchDeps.resize(static_cast<size_t>(NumSteps));
     TS.CT.RunLeaf.resize(static_cast<size_t>(NumSteps), 0);
@@ -294,12 +330,8 @@ PlanAnalysisResult distal::analyzePlan(const Plan &P, const Mapper &Map) {
   // Sequential steps, lock-stepped across all tasks. Holders track which
   // processors have each (tensor, rectangle) resident from the previous
   // step so fetches can relay from a neighbour instead of the home owner.
-  using RectKey = std::pair<std::vector<Coord>, std::vector<Coord>>;
-  std::map<TensorVar, std::map<RectKey, std::vector<int64_t>>> PrevHolders,
-      CurHolders;
-  auto keyOf = [](const Rect &R) {
-    return RectKey{R.lo().coords(), R.hi().coords()};
-  };
+  using HolderMap = std::map<Rect, std::vector<int64_t>, RectLess>;
+  std::map<TensorVar, HolderMap> PrevHolders, CurHolders;
   int64_t StepIdx = 0;
   Steps.forEachPoint([&](const Point &SP) {
     Phase &Ph = T.Phases[static_cast<size_t>(StepIdx) + 1];
@@ -312,33 +344,37 @@ PlanAnalysisResult distal::analyzePlan(const Plan &P, const Mapper &Map) {
       for (size_t I = 0; I < StepV.size(); ++I)
         TS.Fixed[StepV[I]] = Interval::point(SP[static_cast<int>(I)]);
       int64_t StepBytes = 0;
-      for (const StepComm &SC : StepC) {
-        // Loops at or above the communicate point are fixed; deeper
-        // sequential loops are free (they rerun over the materialised
-        // data).
-        std::map<IndexVar, Interval> Known;
-        std::vector<Coord> Key;
-        for (size_t I = 0; I < DistV.size(); ++I) {
-          Known[DistV[I]] = TS.Fixed[DistV[I]];
-          Key.push_back(TS.CT.TP[static_cast<int>(I)]);
+      // The loops a comm fixes (Known) and its residency key depend only
+      // on its depth, so they are rebuilt only when the depth changes.
+      std::map<IndexVar, Interval> Known;
+      std::vector<Coord> Key;
+      size_t KnownDepth = StepV.size() + 1;
+      for (size_t C = 0; C < StepC.size(); ++C) {
+        const StepComm &SC = StepC[C];
+        if (CommDepth[C] != KnownDepth) {
+          KnownDepth = CommDepth[C];
+          Known.clear();
+          Key.clear();
+          for (size_t I = 0; I < DistV.size(); ++I) {
+            Known[DistV[I]] = TS.Fixed[DistV[I]];
+            Key.push_back(TS.CT.TP[static_cast<int>(I)]);
+          }
+          for (size_t I = 0; I < KnownDepth; ++I) {
+            Known[StepV[I]] = TS.Fixed[StepV[I]];
+            Key.push_back(SP[static_cast<int>(I)]);
+          }
         }
-        for (size_t I = 0; I < StepV.size(); ++I) {
-          int LoopIdx = P.NumDist + static_cast<int>(I);
-          if (LoopIdx > SC.LoopIdx)
-            break;
-          Known[StepV[I]] = TS.Fixed[StepV[I]];
-          Key.push_back(SP[static_cast<int>(I)]);
-        }
-        Rect R = tensorRect(SC.Tensor, Stmt, Prov, Known);
+        Rect R = tensorRect(SC.Tensor, Accesses, Prov, Known);
         StepBytes += R.volume() * 8;
-        CurHolders[SC.Tensor][keyOf(R)].push_back(TS.CT.ProcId);
+        CurHolders[SC.Tensor][R].push_back(TS.CT.ProcId);
         auto KeyIt = TS.FetchKeys.find(SC.Tensor);
         if (KeyIt != TS.FetchKeys.end() && KeyIt->second == Key)
           continue; // Data already resident from an inner iteration.
         TS.FetchKeys[SC.Tensor] = Key;
 
-        std::vector<Message> Msgs =
-            planGatherMessages(P, SC.Tensor, R, TS.CT.ProcPt);
+        // ownsRect(R), with the owned piece computed once per task: the
+        // fetch is local (its one home message is self to self).
+        bool OwnerIsSelf = !R.isEmpty() && TS.StepOwned[C].contains(R);
         // Prefetch schedule: a home-fed gather reads the (execution-
         // immutable) input region and may always be issued one step early;
         // a relay-fed gather depends on its source task having finished
@@ -346,71 +382,69 @@ PlanAnalysisResult distal::analyzePlan(const Plan &P, const Mapper &Map) {
         int32_t Dep = SC.Tensor == Out ? CompiledTask::NoPrefetch
                                        : CompiledTask::PrefetchFree;
         // Relay: if some processor held exactly this rectangle last step,
-        // fetch from the closest holder when that beats the home owner.
-        auto HIt = PrevHolders.find(SC.Tensor);
-        if (HIt != PrevHolders.end()) {
-          auto RIt = HIt->second.find(keyOf(R));
-          if (RIt != HIt->second.end() && !RIt->second.empty()) {
-            auto distanceTo = [&](int64_t Src) {
-              if (Src == TS.CT.ProcId)
-                return std::pair<int, int64_t>{0, 0};
-              bool SameNode = P.M.nodeOf(P.M.delinearize(Src)) ==
-                              P.M.nodeOf(TS.CT.ProcPt);
-              return std::pair<int, int64_t>{SameNode ? 1 : 2,
-                                             std::abs(Src - TS.CT.ProcId)};
-            };
-            int64_t BestSrc = RIt->second.front();
-            for (int64_t Cand : RIt->second)
-              if (distanceTo(Cand) < distanceTo(BestSrc))
-                BestSrc = Cand;
-            // Fetch locally when this processor owns the data; otherwise
-            // always prefer the pipeline copy: that is what makes rotated
-            // schedules truly systolic (each holder forwards to exactly
-            // one neighbour).
-            bool OwnerIsSelf =
-                Msgs.size() == 1 && Msgs.front().Src == Msgs.front().Dst;
-            if (!OwnerIsSelf) {
-              Message Relay;
-              Relay.Src = BestSrc;
-              Relay.Dst = TS.CT.ProcId;
-              Relay.Bytes = R.volume() * 8;
-              Relay.SameNode = P.M.nodeOf(P.M.delinearize(BestSrc)) ==
-                               P.M.nodeOf(TS.CT.ProcPt);
-              Relay.Tensor = SC.Tensor.name();
-              Msgs = {Relay};
-              if (Dep == CompiledTask::PrefetchFree) {
-                // The relay source only holds the block once its own
-                // previous-step fetch completed: prefetching is legal
-                // behind that *task's* progress. Resolution is by task,
-                // not processor — a processor hosting several tasks makes
-                // the source ambiguous. An unrotated comm that still
-                // relayed, or an ambiguous source, is excluded; a block
-                // this task itself held last step is freely prefetchable.
-                auto TIt = TaskOnProc.find(BestSrc);
-                int32_t SrcTask =
-                    TIt != TaskOnProc.end() ? TIt->second : -1;
-                int32_t SelfTask = static_cast<int32_t>(&TS - States.data());
-                if (!SC.Rotated || SrcTask < 0)
-                  Dep = CompiledTask::NoPrefetch;
-                else if (SrcTask != SelfTask)
-                  Dep = SrcTask;
-              }
-            }
+        // fetch from the closest holder. Fetch locally when this processor
+        // owns the data; otherwise always prefer the pipeline copy: that is
+        // what makes rotated schedules truly systolic (each holder forwards
+        // to exactly one neighbour).
+        const std::vector<int64_t> *Holders = nullptr;
+        if (!OwnerIsSelf) {
+          auto HIt = PrevHolders.find(SC.Tensor);
+          if (HIt != PrevHolders.end()) {
+            auto RIt = HIt->second.find(R);
+            if (RIt != HIt->second.end() && !RIt->second.empty())
+              Holders = &RIt->second;
           }
         }
-        for (Message &Msg : Msgs)
-          Ph.Messages.push_back(std::move(Msg));
+        if (Holders) {
+          auto distanceTo = [&](int64_t Src) {
+            if (Src == TS.CT.ProcId)
+              return std::pair<int, int64_t>{0, 0};
+            bool SameNode = P.M.nodeOf(P.M.delinearize(Src)) ==
+                            P.M.nodeOf(TS.CT.ProcPt);
+            return std::pair<int, int64_t>{SameNode ? 1 : 2,
+                                           std::abs(Src - TS.CT.ProcId)};
+          };
+          int64_t BestSrc = Holders->front();
+          for (int64_t Cand : *Holders)
+            if (distanceTo(Cand) < distanceTo(BestSrc))
+              BestSrc = Cand;
+          Message Relay;
+          Relay.Src = BestSrc;
+          Relay.Dst = TS.CT.ProcId;
+          Relay.Bytes = R.volume() * 8;
+          Relay.SameNode = P.M.nodeOf(P.M.delinearize(BestSrc)) ==
+                           P.M.nodeOf(TS.CT.ProcPt);
+          Relay.Tensor = SC.Tensor.name();
+          Ph.Messages.push_back(std::move(Relay));
+          if (Dep == CompiledTask::PrefetchFree) {
+            // The relay source only holds the block once its own
+            // previous-step fetch completed: prefetching is legal behind
+            // that *task's* progress. Resolution is by task, not processor
+            // — a processor hosting several tasks makes the source
+            // ambiguous. An unrotated comm that still relayed, or an
+            // ambiguous source, is excluded; a block this task itself held
+            // last step is freely prefetchable.
+            auto TIt = TaskOnProc.find(BestSrc);
+            int32_t SrcTask = TIt != TaskOnProc.end() ? TIt->second : -1;
+            int32_t SelfTask = static_cast<int32_t>(&TS - States.data());
+            if (!SC.Rotated || SrcTask < 0)
+              Dep = CompiledTask::NoPrefetch;
+            else if (SrcTask != SelfTask)
+              Dep = SrcTask;
+          }
+        } else {
+          for (Message &Msg : planGatherMessages(P, SC.Tensor, R, TS.CT.ProcPt))
+            Ph.Messages.push_back(std::move(Msg));
+        }
         CompiledGather SG{SC.Tensor, R, false};
         SG.Runs = compileGatherRuns(R, SC.Tensor.shape());
         // Alias analysis: a step rectangle that rotated back onto (or never
-        // left) this processor's owned piece needs no copy at all — note
-        // this is exactly the OwnerIsSelf case above, so the classification
-        // never contradicts the relay routing. Step fetches of the output
-        // tensor always copy (the region holds zeroes mid-execution by the
-        // engine's semantics, and OutAliasOK already excluded aliasing).
-        if (!(SC.Tensor == Out) &&
-            P.formatOf(SC.Tensor).distribution().ownsRect(
-                SC.Tensor.shape(), P.M, TS.CT.ProcPt, R))
+        // left) this processor's owned piece needs no copy at all — the
+        // OwnerIsSelf case above, so the classification never contradicts
+        // the relay routing. Step fetches of the output tensor always copy
+        // (the region holds zeroes mid-execution by the engine's semantics,
+        // and OutAliasOK already excluded aliasing).
+        if (!(SC.Tensor == Out) && OwnerIsSelf)
           SG.Class = GatherClass::Aliasable;
         TS.CT.StepGathers[static_cast<size_t>(StepIdx)].push_back(
             std::move(SG));
@@ -421,8 +455,8 @@ PlanAnalysisResult distal::analyzePlan(const Plan &P, const Mapper &Map) {
       // Leaf work: iteration sub-volume at this context.
       int64_t Count = iterationCount(OrigV, Prov, TS.Fixed);
       int64_t LeafBytes = 0;
-      for (const Access &A : Stmt.accesses())
-        LeafBytes += accessRect(A, Prov, TS.Fixed).volume() * 8;
+      for (const Access &A : Accesses)
+        LeafBytes += accessVolume(A, Prov, TS.Fixed) * 8;
       Ph.addWork(TS.CT.ProcId, static_cast<double>(Count) * FlopsPerPoint,
                  LeafBytes);
 

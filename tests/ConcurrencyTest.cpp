@@ -11,7 +11,9 @@
 // arena pool's steady-state reuse, the ExecutionSlot census/budget that
 // divides threads among concurrent executions, and the user-facing
 // concurrent surfaces (Tensor::evaluate coalescing, evaluateAsync's
-// artifact anchoring across PlanCache eviction, Executor::submit).
+// artifact anchoring across PlanCache eviction, Executor::submit), and
+// that a cold compile — of a plan or of a program — never stalls a hot
+// evaluate on another tensor.
 //
 // Runs under the TSan CI job (DISTAL_NUM_THREADS=8): any race between
 // sibling arenas, the admission queue's claim protocol, or the pooled
@@ -20,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "algorithms/Matmul.h"
+#include "api/Program.h"
 #include "api/Tensor.h"
 #include "runtime/Executor.h"
 #include "runtime/PlanCache.h"
@@ -29,6 +32,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -113,6 +117,61 @@ private:
   std::condition_variable CV;
   int Waiting;
 };
+
+/// Schedules A(i,j) = B(i,k) * C(k,j) as a rotated Cannon on grid \p M.
+void scheduleCannon(Tensor &A, Tensor &B, Tensor &C, const Machine &M) {
+  IndexVar I("i"), J("j"), K("k"), Io("io"), Ii("ii"), Jo("jo"), Ji("ji"),
+      Ko("ko"), Ki("ki"), Kos("kos");
+  A(I, J) = B(I, K) * C(K, J);
+  A.schedule()
+      .distribute({I, J}, {Io, Jo}, {Ii, Ji}, M)
+      .divide(K, Ko, Ki, M.dimExtent(0))
+      .reorder({Io, Jo, Ko, Ii, Ji, Ki})
+      .rotate(Ko, {Io, Jo}, Kos)
+      .communicate(A, Jo)
+      .communicate({B, C}, Kos)
+      .substitute({Ii, Ji, Ki}, LeafKernel::GeMM);
+}
+
+/// Fresh tensors scheduled as a Cannon GEMM on a \p Grid x \p Grid grid.
+struct CannonTensors {
+  Machine M;
+  Tensor A, B, C;
+  CannonTensors(const std::string &Tag, Coord N, int Grid)
+      : M(Machine::grid({Grid, Grid})), A(Tag + "A", {N, N}, tiles()),
+        B(Tag + "B", {N, N}, tiles()), C(Tag + "C", {N, N}, tiles()) {
+    B.fillRandom(3);
+    C.fillRandom(4);
+    scheduleCannon(A, B, C, M);
+  }
+  static Format tiles() {
+    return Format({ModeKind::Dense, ModeKind::Dense},
+                  TensorDistribution::parse("xy->xy"));
+  }
+};
+
+/// Counts the evaluate() calls a hot, cached 2 x 2 GEMM completes on this
+/// thread while \p Cold runs on another. A cold compile that held the api
+/// lock would let about one through.
+int hotEvaluatesDuring(const std::function<void()> &Cold) {
+  CannonTensors Hot("hot", 8, 2);
+  Hot.A.evaluate(Hot.M); // Compiled and materialised: every call is hot.
+  std::atomic<bool> Started{false}, Done{false};
+  std::thread Compiler([&] {
+    Started = true;
+    Cold();
+    Done = true;
+  });
+  while (!Started.load())
+    std::this_thread::yield();
+  int Calls = 0;
+  while (!Done.load()) {
+    Hot.A.evaluate(Hot.M);
+    ++Calls;
+  }
+  Compiler.join();
+  return Calls;
+}
 
 } // namespace
 
@@ -652,4 +711,30 @@ TEST(Concurrency, ExecutorSubmitMatchesRun) {
   EXPECT_TRUE(F.wait().ok()) << F.wait().str();
   EXPECT_EQ(F.trace().NumProcs, E.simulate().NumProcs);
   EXPECT_EQ(Set.output(Prob.A), Expected);
+}
+
+// A cold compile builds its CompiledPlan outside the api lock: a hot
+// evaluate loop on another tensor keeps completing meanwhile.
+TEST(Concurrency, ColdCompileDoesNotStallHotEvaluate) {
+  std::shared_ptr<CompiledPlan> Cold;
+  int Calls = hotEvaluatesDuring([&] {
+    CannonTensors Big("cold", 256, 16);
+    Cold = Big.A.compile(Big.M);
+  });
+  ASSERT_NE(Cold, nullptr);
+  EXPECT_GE(Calls, 20) << "hot evaluates stalled behind a cold compile";
+}
+
+// The same for programs: member compiles and the link run outside the api
+// lock, so Program::compile does not block Tensor::evaluate.
+TEST(Concurrency, ProgramCompileDoesNotStallHotEvaluate) {
+  std::shared_ptr<CompiledProgram> Cold;
+  int Calls = hotEvaluatesDuring([&] {
+    CannonTensors Big("prog", 256, 16);
+    Program P;
+    P.add(Big.A);
+    Cold = P.compile(Big.M);
+  });
+  ASSERT_NE(Cold, nullptr);
+  EXPECT_GE(Calls, 20) << "hot evaluates stalled behind a program compile";
 }

@@ -174,6 +174,68 @@ TEST(Pipeline, UnevenTilesIdentical) {
   expectPipelineIdentical(Prob.P, {Prob.A, Prob.B, Prob.C});
 }
 
+// The compile phase's output is pinned, not just self-consistent: the
+// per-phase message counts and bytes of the skeleton, the prefetch
+// schedule and the alias classification of two rotated schedules, as
+// fixed numbers. A change to the relay routing, the residency dedup, or
+// the ownership test moves at least one of them.
+TEST(Pipeline, CompiledSkeletonPinned) {
+  struct Pinned {
+    std::vector<std::pair<size_t, int64_t>> Phases; ///< {messages, bytes}
+    CompiledPlan::PrefetchStats Prefetch;
+    CompiledPlan::DataMovementStats Moves;
+    int64_t InterNodeBytes;
+    int64_t PeakSum;
+  };
+  auto expectPinned = [](const CompiledPlan &CP, const Pinned &Want) {
+    const Trace &T = CP.trace();
+    ASSERT_EQ(T.Phases.size(), Want.Phases.size());
+    for (size_t I = 0; I < T.Phases.size(); ++I) {
+      EXPECT_EQ(T.Phases[I].Messages.size(), Want.Phases[I].first)
+          << T.Phases[I].Label;
+      EXPECT_EQ(T.Phases[I].totalMessageBytes(), Want.Phases[I].second)
+          << T.Phases[I].Label;
+    }
+    CompiledPlan::PrefetchStats S = CP.prefetchStats();
+    EXPECT_EQ(S.Free, Want.Prefetch.Free);
+    EXPECT_EQ(S.Dependent, Want.Prefetch.Dependent);
+    EXPECT_EQ(S.Excluded, Want.Prefetch.Excluded);
+    EXPECT_EQ(S.Elided, Want.Prefetch.Elided);
+    CompiledPlan::DataMovementStats D = CP.dataMovementStats();
+    EXPECT_EQ(D.GatheredBytes, Want.Moves.GatheredBytes);
+    EXPECT_EQ(D.ElidedBytes, Want.Moves.ElidedBytes);
+    EXPECT_EQ(D.WritebackBytes, Want.Moves.WritebackBytes);
+    EXPECT_EQ(D.WritebackElidedBytes, Want.Moves.WritebackElidedBytes);
+    EXPECT_EQ(T.interNodeCommBytes(), Want.InterNodeBytes);
+    int64_t Peak = 0;
+    for (const auto &[Proc, Bytes] : T.PeakMemBytes)
+      Peak += Bytes;
+    EXPECT_EQ(Peak, Want.PeakSum);
+  };
+
+  // 8 x 8 Cannon, four processors per node: every step shifts 128 blocks.
+  MatmulOptions Opts;
+  Opts.N = 64;
+  Opts.Procs = 64;
+  Opts.ProcsPerNode = 4;
+  MatmulProblem Cannon = buildMatmul(MatmulAlgo::Cannon, Opts);
+  Pinned WantCannon{{{0, 0}}, {112, 784, 0, 128}, {458752, 65536, 0, 32768},
+                    295936, 262144};
+  for (int S = 0; S < 8; ++S)
+    WantCannon.Phases.push_back({128, 65536});
+  WantCannon.Phases.push_back({0, 0});
+  expectPinned(CompiledPlan(Cannon.P), WantCannon);
+
+  // Tall-skinny: B's shifts are home-resident views, C's relay.
+  TensorVar A, B, C;
+  Pinned WantTall{{{0, 0}}, {0, 12, 0, 20}, {12288, 36864, 0, 4096}, 12288,
+                  69632};
+  for (int S = 0; S < 4; ++S)
+    WantTall.Phases.push_back({8, 12288});
+  WantTall.Phases.push_back({0, 0});
+  expectPinned(CompiledPlan(tallSkinnyCannon(64, 8, 4, A, B, C)), WantTall);
+}
+
 TEST(Pipeline, PrefetchScheduleClassification) {
   // Rotated Cannon: the systolic shifts relay between tasks, so the
   // schedule records cross-task dependencies (and step 0 home fetches).

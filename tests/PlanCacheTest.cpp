@@ -2,7 +2,9 @@
 //
 // The compile/execute split and the process-wide plan cache: cache keying
 // across statement / schedule / format / machine / thread-split changes,
-// explicit invalidation and the evaluateUncached escape hatch, steady-state
+// explicit invalidation and the evaluateUncached escape hatch, the
+// single-flight build path (concurrent misses build once and share the
+// artifact or the exception), steady-state
 // trace elision, instance-buffer reuse across executions, and — the load-
 // bearing property — bitwise-identical results between cached and freshly
 // compiled execution at every tested thread count and task/leaf split.
@@ -15,6 +17,10 @@
 #include "runtime/Executor.h"
 #include "runtime/PlanCache.h"
 #include "runtime/Region.h"
+
+#include <atomic>
+#include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -349,4 +355,103 @@ TEST(PlanCache, LruEvictionIsBounded) {
   EXPECT_EQ(Cache.find(Keys[0]), nullptr) << "oldest entry must be evicted";
   EXPECT_NE(Cache.find(Keys[1]), nullptr);
   EXPECT_NE(Cache.find(Keys[2]), nullptr);
+}
+
+// Single-flight through the public API: eight threads compile one fresh
+// tensor at once. The build runs outside the api lock, so the threads
+// really do miss together; all must get the one artifact, built once.
+TEST(PlanCache, ConcurrentCompilesOfOneKeyBuildOnce) {
+  Machine M = Machine::grid({8, 8});
+  Tensor A("A", {64, 64}, tiles()), B("B", {64, 64}, tiles()),
+      C("C", {64, 64}, tiles());
+  scheduleSumma(A, B, C, M, 4);
+
+  const int Threads = 8;
+  PlanCache::Stats Before = PlanCache::global().stats();
+  std::vector<std::shared_ptr<CompiledPlan>> Got(Threads);
+  std::atomic<int> Ready{0};
+  std::vector<std::thread> Pool;
+  for (int T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      ++Ready;
+      while (Ready.load() < Threads)
+        std::this_thread::yield();
+      Got[static_cast<size_t>(T)] = A.compile(M);
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  PlanCache::Stats After = PlanCache::global().stats();
+
+  ASSERT_NE(Got[0], nullptr);
+  for (const std::shared_ptr<CompiledPlan> &CP : Got)
+    EXPECT_EQ(CP.get(), Got[0].get());
+  // Every miss either built or joined a build: exactly one built.
+  EXPECT_EQ((After.Misses - Before.Misses) - (After.Joined - Before.Joined),
+            1);
+  EXPECT_EQ(After.Hits - Before.Hits + After.Misses - Before.Misses, Threads);
+}
+
+// A failing build reaches every caller that joined it, and leaves no
+// in-flight entry behind: the next call builds again and succeeds.
+TEST(PlanCache, FailedBuildPropagatesToWaitersThenRebuilds) {
+  MatmulOptions Opts;
+  Opts.N = 8;
+  Opts.Procs = 4;
+  MatmulProblem Prob = buildMatmul(MatmulAlgo::Cannon, Opts);
+  PlanCache Cache;
+  const std::string Key = "failing";
+  const int Waiters = 7;
+  std::atomic<int> Builds{0};
+  std::atomic<bool> Building{false};
+  std::atomic<int> Failures{0};
+
+  auto callAndExpectFailure = [&](const PlanCache::PlanBuilder &Build) {
+    try {
+      (void)Cache.findOrBuild(Key, Build);
+    } catch (const std::runtime_error &E) {
+      if (std::string(E.what()) == "build failed")
+        ++Failures;
+    }
+  };
+  // The builder holds its flight open until every waiter has joined it,
+  // so the waiters deterministically share this one failure.
+  std::thread Builder([&] {
+    callAndExpectFailure([&]() -> std::shared_ptr<CompiledPlan> {
+      ++Builds;
+      Building = true;
+      while (Cache.stats().Joined < Waiters)
+        std::this_thread::yield();
+      throw std::runtime_error("build failed");
+    });
+  });
+  while (!Building.load())
+    std::this_thread::yield();
+  std::vector<std::thread> Pool;
+  for (int W = 0; W < Waiters; ++W)
+    Pool.emplace_back([&] {
+      callAndExpectFailure([&]() -> std::shared_ptr<CompiledPlan> {
+        ++Builds; // Never runs: the key is already building.
+        return nullptr;
+      });
+    });
+  Builder.join();
+  for (std::thread &T : Pool)
+    T.join();
+  EXPECT_EQ(Failures.load(), Waiters + 1);
+  EXPECT_EQ(Builds.load(), 1);
+  EXPECT_EQ(Cache.size(), 0u);
+
+  // Nothing is left in flight: the next miss builds.
+  std::shared_ptr<CompiledPlan> CP = Cache.findOrBuild(Key, [&] {
+    ++Builds;
+    return std::make_shared<CompiledPlan>(Prob.P);
+  });
+  ASSERT_NE(CP, nullptr);
+  EXPECT_EQ(Builds.load(), 2);
+  EXPECT_EQ(Cache.find(Key).get(), CP.get());
+  EXPECT_EQ(Cache.findOrBuild(Key, [&]() -> std::shared_ptr<CompiledPlan> {
+              ADD_FAILURE() << "a cached key must not rebuild";
+              return nullptr;
+            }).get(),
+            CP.get());
 }
